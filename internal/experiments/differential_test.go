@@ -11,10 +11,10 @@ import (
 // This file is the compiled-execution equivalence gate (DESIGN.md §13): the
 // batched block-stream path must render every paper artifact byte-identical
 // to the legacy per-step interpreter, at every worker count. The experiment
-// set mirrors the BENCH_experiments.json representative set (table2, fig6,
-// sweep) plus multiplex, each scaled down so the legacy runs stay CI-sized;
-// equality of the *rendered* artifacts covers totals, per-tool sample
-// counts, time series and the derived statistics in one comparison.
+// set is a representative one (table2, fig6, sweep) plus multiplex, each
+// scaled down so the legacy runs stay CI-sized; equality of the *rendered*
+// artifacts covers totals, per-tool sample counts, time series and the
+// derived statistics in one comparison.
 
 // differentialCases names each artifact and how to render it.
 var differentialCases = []struct {

@@ -8,12 +8,13 @@ import (
 	"kleb/internal/ktime"
 )
 
-// Micro-benchmarks for the scheduler's hot path. These are the bodies
-// behind scripts/bench_kernel.sh / BENCH_kernel.json: the sleeper storm is
-// the regression gate's headline number (it is the shape that made table2
+// Micro-benchmarks for the scheduler's hot path, gated same-host against
+// the merge-base by scripts/bench_ab.sh: the sleeper storm is the
+// regression gate's headline number (it is the shape that made table2
 // O(P)-scan-bound before the unified event queue), the steady-state
 // benchmark guards the zero-allocation execute loop, and the timer churn
-// benchmark prices one full arm→fire→re-arm cycle.
+// benchmark prices one full arm→fire→re-arm cycle. The NoAlloc tests at the
+// end are the absolute zero-allocation gates on the same shapes.
 
 // benchSleepers is the storm width: large enough that a per-event O(P)
 // process scan dominates, small enough that the run queue stays realistic.
@@ -225,6 +226,43 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 	k := testKernel(4)
 	var op Op = OpExec{Block: workBlock(10_000)}
 	k.Spawn("spin", ProgramFunc(func(k *Kernel, p *Process) Op { return op }))
+	checkWarmNoAlloc(t, k, "steady-state runCurrent")
+}
+
+// TestSleeperStormNoAlloc is the zero-allocation gate on the sleeper
+// storm's shape: once warm, a sleep→wake cycle through the unified event
+// queue must not allocate.
+func TestSleeperStormNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	k := testKernel(1)
+	var sleep Op = OpSleep{D: 100 * ktime.Microsecond, HR: true}
+	for i := 0; i < benchSleepers; i++ {
+		k.Spawn(fmt.Sprintf("sleeper%02d", i), ProgramFunc(func(k *Kernel, p *Process) Op { return sleep }))
+	}
+	checkWarmNoAlloc(t, k, "warm sleep→wake cycle")
+}
+
+// TestBlockExecuteNoAlloc is the zero-allocation gate on the batched
+// compiled-stream path: once warm, a timeslice of stable memo replays
+// collapsed by executeRun must not allocate.
+func TestBlockExecuteNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	b := workBlock(10_000)
+	k := testKernel(6)
+	k.Spawn("stream", preboxedStream{&benchStream{block: b, left: 1 << 40}, OpExec{Block: b}})
+	checkWarmNoAlloc(t, k, "warm batched timeslice")
+}
+
+// checkWarmNoAlloc runs k for one simulated millisecond to warm it up
+// (first blocks grow the pending queue and cache cursors, sleepers sleep
+// and wake once, memo entries freeze into stable replays), then fails t
+// if any further millisecond allocates.
+func checkWarmNoAlloc(t *testing.T, k *Kernel, what string) {
+	t.Helper()
 	cursor := ktime.Time(0)
 	step := func() {
 		cursor = cursor.Add(ktime.Millisecond)
@@ -232,8 +270,24 @@ func TestSteadyRunCurrentNoAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step() // warm up: first blocks grow the pending queue and cache cursors
+	step()
 	if avg := testing.AllocsPerRun(10, step); avg != 0 {
-		t.Errorf("steady-state runCurrent allocates %v allocs/op, want 0", avg)
+		t.Errorf("%s allocates %v allocs/op, want 0", what, avg)
 	}
+}
+
+// preboxedStream is a benchStream whose Next returns one preboxed op, so
+// an allocation gate counts the kernel's allocations and not the boxing of
+// the test program's OpExec at each timeslice start.
+type preboxedStream struct {
+	*benchStream
+	op Op
+}
+
+func (s preboxedStream) Next(k *Kernel, p *Process) Op {
+	if s.left == 0 {
+		return OpExit{}
+	}
+	s.left--
+	return s.op
 }

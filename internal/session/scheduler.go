@@ -78,8 +78,8 @@ func (s Scheduler) workers() int {
 
 // minRunsPerWorker is the striping threshold: below it, the per-goroutine
 // setup and the load imbalance of a static assignment swamp any overlap
-// (BENCH_experiments.json recorded the sweep's 4-run batch at 14.98 s
-// parallel vs 13.71 s serial before this bound existed).
+// (the sweep's 4-run batch measured 14.98 s parallel vs 13.71 s serial
+// before this bound existed).
 const minRunsPerWorker = 2
 
 // poolSize resolves the pool actually used for an n-run batch: the

@@ -8,8 +8,9 @@ import (
 // SharedSink wraps a Sink for concurrent use: many shard goroutines folding
 // finished runs in while HTTP scrape handlers take consistent snapshots
 // out. The plain Sink stays lock-free (its single-owner emit path is the
-// ~8.5 ns one the bench gate protects); the daemon pays for synchronization
-// only at the aggregation boundary, where merges are coarse-grained.
+// ~8.5 ns one BenchmarkEmitEnabled gates); the daemon pays for
+// synchronization only at the aggregation boundary, where merges are
+// coarse-grained.
 type SharedSink struct {
 	mu sync.Mutex
 	// sink is the wrapped aggregate. guarded by mu

@@ -8,7 +8,8 @@
 //   - Zero overhead when disabled. Every emit method is safe on a nil
 //     *Sink and returns immediately, so an uninstrumented run pays one
 //     predicted branch per call site — no allocation, no formatting, no
-//     locks. BENCH_telemetry.json records the measured cost.
+//     locks. BenchmarkEmitDisabled measures the cost; scripts/bench_ab.sh
+//     fails if its median exceeds 25 ns.
 //
 //   - Reproducible observability. Events are stamped with virtual ktime,
 //     never wall-clock, and a Sink is owned by exactly one simulated run,

@@ -284,7 +284,8 @@ func TestPrometheusShape(t *testing.T) {
 }
 
 // The satellite requirement: the disabled path must be a branch, nothing
-// more. The benchmark pair quantifies it (see BENCH_telemetry.json).
+// more. The benchmark pair quantifies it; scripts/bench_ab.sh holds their
+// medians under 25 ns (disabled) and 50 ns (enabled).
 func BenchmarkEmitDisabled(b *testing.B) {
 	var s *Sink
 	b.ReportAllocs()
