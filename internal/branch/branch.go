@@ -82,28 +82,6 @@ func (p *Predictor) FlushHistory() { p.history = 0 }
 // the measured execution left it.
 func (p *Predictor) SetHistory(h uint64) { p.history = h }
 
-// State is a deep copy of the predictor's mutable state; the backing table
-// slice is recycled across saves (see cache.State for the pattern).
-type State struct {
-	table   []uint8
-	history uint64
-	stats   Stats
-}
-
-// Save captures the predictor's complete mutable state into s.
-func (p *Predictor) Save(s *State) {
-	s.table = append(s.table[:0], p.table...)
-	s.history = p.history
-	s.stats = p.stats
-}
-
-// Restore rewinds the predictor to a state captured by Save.
-func (p *Predictor) Restore(s *State) {
-	copy(p.table, s.table)
-	p.history = s.history
-	p.stats = s.stats
-}
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1

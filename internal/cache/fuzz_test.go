@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzCacheOps drives a small cache with an arbitrary operation stream and
 // checks structural invariants that must hold for any input: statistics
-// account for every access, lookups after a fill hit, flushes evict, and
-// occupancy stays within [0, 1].
+// account for every access, lookups after a fill hit, flushes evict,
+// occupancy stays within [0, 1], and a Save/Restore bracket leaves the
+// cache exactly as it found it.
 func FuzzCacheOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xC3, 0x04})
 	f.Add([]byte("flush and reload and flush again"))
@@ -13,7 +14,7 @@ func FuzzCacheOps(f *testing.F) {
 		c := New(Config{Name: "fuzz", Size: 4096, LineSize: 64, Ways: 2, LatencyCycles: 1})
 		for i, op := range ops {
 			addr := uint64(op) * 64 % 8192 // within two cache-fulls of lines
-			switch i % 3 {
+			switch i % 4 {
 			case 0:
 				c.Access(addr)
 				if !c.Contains(addr) {
@@ -26,6 +27,18 @@ func FuzzCacheOps(f *testing.F) {
 				}
 			case 2:
 				c.EvictFraction(float64(op) / 512) // up to 50%
+			case 3:
+				want := c.Clone()
+				var s State
+				c.Save(&s)
+				c.AccessRange(addr+uint64(op)%64, uint64(op)%150)
+				c.Access(addr ^ 4096)
+				c.Flush(addr)
+				c.Access(addr)
+				c.Restore(&s)
+				if !c.Equal(want) {
+					t.Fatalf("bracket did not restore the cache (addr %#x, op %#x)", addr, op)
+				}
 			}
 			if occ := c.Occupancy(); occ < 0 || occ > 1 {
 				t.Fatalf("occupancy %f out of range", occ)

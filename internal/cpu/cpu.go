@@ -48,8 +48,9 @@ type Config struct {
 	// TLB sizes the data TLB (zero values select the defaults).
 	TLB TLBConfig
 	// NoMemo disables the block-cost memo layer (DESIGN.md §13), forcing
-	// every Execute through the raw cache/branch simulation. Model unit
-	// tests use it to probe the underlying simulators directly.
+	// every Execute through the raw cache/branch simulation. Nothing in the
+	// repository sets it; it is the switch for checking a suspected memo
+	// defect against the raw model.
 	NoMemo bool
 }
 
@@ -117,11 +118,11 @@ type Core struct {
 	// classRng is the reusable class-seeded stream memoizable measurements
 	// draw from (see memo.go's classSeed).
 	classRng *ktime.Rand
-	// snapL1/snapL2/snapLLC/snapTLB are the reusable snapshots that bracket
-	// a memoized measurement so the canonical probe leaves no trace in the
-	// memory-side state (memo.go).
-	snapL1, snapL2, snapLLC cache.State
-	snapTLB                 tlbState
+	// snaps (the L1D, L2 and LLC undo journals) and snapTLB are the
+	// reusable brackets around a memoized measurement, so the canonical
+	// probe leaves no trace in the memory-side state (memo.go).
+	snaps   [3]cache.State
+	snapTLB tlbState
 }
 
 // New builds a core. The PMU is created by the caller (it belongs to the

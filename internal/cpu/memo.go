@@ -131,13 +131,19 @@ func (c *Core) AdvanceReplays(b isa.Block, extra uint64) {
 //
 //klebvet:hotpath
 func preWarm(lvl *cache.Cache, base, fp uint64) {
-	if fp > lvl.Config().Size {
-		return
+	if n := warmLines(lvl, fp); n > 0 {
+		lvl.AccessRange(base, n)
 	}
-	line := lvl.Config().LineSize
-	for a := base; a < base+fp; a += line {
-		lvl.Access(a)
+}
+
+// warmLines is how many lines preWarm installs into lvl for a footprint of
+// fp bytes: all of them if the footprint fits the level, none otherwise.
+func warmLines(lvl *cache.Cache, fp uint64) uint64 {
+	cfg := lvl.Config()
+	if fp > cfg.Size {
+		return 0
 	}
+	return (fp + cfg.LineSize - 1) / cfg.LineSize
 }
 
 // footprint is the effective memory footprint of b (the declared one, or
@@ -158,9 +164,8 @@ func (c *Core) execute(b isa.Block) (Costed, bool) {
 		cost, _ := c.measure(b)
 		return cost, false
 	}
-	llcGen := c.caches.LLC().Gen()
 	warm := c.warmth(b)
-	if b.Flushes > 0 || warm < warmReplay || llcGen != c.llcSeen {
+	if !c.memoizable(b, warm) {
 		return c.measureSync(b), false
 	}
 	key := memoKey{block: b, warm: warm, pol: c.pollution, hist: histClass(c.pred.History())}
@@ -182,27 +187,44 @@ func (c *Core) execute(b isa.Block) (Costed, bool) {
 		c.recover()
 		return e.cost, stable
 	}
-	// Measure with the block's canonical seeded stream instead of the
-	// core's evolving one. The core stream's position depends on the run's
-	// whole history — a monitored run and its baseline diverge after the
-	// first interrupt — so canonical draws are what make a class freeze to
-	// the *same* cost in every run: monitored/baseline runtime ratios then
-	// cancel the sampling luck (the paper's Fig 8 signal) and monitoring
-	// overhead stays structurally non-negative.
-	// The probe is side-effect-free on memory-side state: caches and TLB
-	// are restored afterwards, so a run that measures more classes (a
-	// monitored run visits pollution/history transients a baseline never
-	// does) does not warm the hierarchy any differently than one that
-	// measures fewer. Predictor training and the walk advance persist —
-	// both converge to run-independent fixed points and are part of the
-	// block's real state transition.
+	cost, swept := c.probe(b)
+	c.memo[key] = memoEntry{cost: cost, swept: swept, postHist: c.pred.History(), seen: e.seen + 1}
+	c.llcSeen = c.caches.LLC().Gen()
+	c.recover()
+	return cost, false
+}
+
+// memoizable reports whether b, in warmth class warm, goes through the
+// memo — a replay or a bracketed probe — rather than the raw model: it
+// flushes nothing, its walk is warm, and no sibling core has touched the
+// shared LLC since this core's last measurement.
+func (c *Core) memoizable(b isa.Block, warm uint8) bool {
+	return b.Flushes == 0 && warm >= warmReplay && c.caches.LLC().Gen() == c.llcSeen
+}
+
+// probe is the canonical measurement of b: the block's class-seeded draw
+// stream, run inside a Save/Restore bracket on every cache level and the
+// TLB. It draws from the canonical stream instead of the core's evolving
+// one because the core stream's position depends on the run's whole
+// history — a monitored run and its baseline diverge after the first
+// interrupt — so canonical draws are what make a class freeze to the
+// *same* cost in every run: monitored/baseline runtime ratios then cancel
+// the sampling luck (the paper's Fig 8 signal) and monitoring overhead
+// stays structurally non-negative.
+//
+// The probe is side-effect-free on memory-side state: caches and TLB
+// are restored afterwards, so a run that measures more classes (a
+// monitored run visits pollution/history transients a baseline never does)
+// does not warm the hierarchy any differently than one that measures
+// fewer. Predictor training and the walk advance persist — both converge
+// to run-independent fixed points and are part of the block's real state
+// transition.
+//
+//klebvet:hotpath
+func (c *Core) probe(b isa.Block) (Costed, uint64) {
 	saved := c.rng
 	c.classRng.Reseed(classSeed(b))
 	c.rng = c.classRng
-	c.caches.L1D().Save(&c.snapL1)
-	c.caches.L2().Save(&c.snapL2)
-	c.caches.LLC().Save(&c.snapLLC)
-	c.tlb.save(&c.snapTLB)
 	// Side-effect freedom also suppresses the self-warming a real execution
 	// performs: without it, a block whose footprint is cache-resident in
 	// steady state (an L1-blocked compute tile, or a monitoring tool's loop
@@ -213,21 +235,32 @@ func (c *Core) execute(b isa.Block) (Costed, bool) {
 	// serves the accesses, exactly as it does once a real phase settles.
 	// Footprints larger than the LLC stream — their steady state IS
 	// non-resident — and are measured as-is.
-	if fp := footprint(b); b.MemOps() > 0 && fp <= c.caches.LLC().Config().Size {
+	fp := footprint(b)
+	prewarm := b.MemOps() > 0 && fp <= c.caches.LLC().Config().Size
+	levels := [...]*cache.Cache{c.caches.L1D(), c.caches.L2(), c.caches.LLC()}
+	for i, lvl := range levels {
+		// The journal bound: each simulated access writes at most one line
+		// per level, plus the pre-warmed lines.
+		n := c.cfg.MaxSimAccesses
+		if prewarm {
+			n += warmLines(lvl, fp)
+		}
+		lvl.Reserve(&c.snaps[i], n)
+		lvl.Save(&c.snaps[i])
+	}
+	c.tlb.save(&c.snapTLB)
+	if prewarm {
 		preWarm(c.caches.LLC(), b.Mem.Base, fp)
 		preWarm(c.caches.L2(), b.Mem.Base, fp)
 		preWarm(c.caches.L1D(), b.Mem.Base, fp)
 	}
 	cost, swept := c.measure(b)
-	c.caches.L1D().Restore(&c.snapL1)
-	c.caches.L2().Restore(&c.snapL2)
-	c.caches.LLC().Restore(&c.snapLLC)
+	for i, lvl := range levels {
+		lvl.Restore(&c.snaps[i])
+	}
 	c.tlb.restore(&c.snapTLB)
 	c.rng = saved
-	c.memo[key] = memoEntry{cost: cost, swept: swept, postHist: c.pred.History(), seen: e.seen + 1}
-	c.llcSeen = c.caches.LLC().Gen()
-	c.recover()
-	return cost, false
+	return cost, swept
 }
 
 // measureSync runs the raw model and resynchronizes the memo layer's view

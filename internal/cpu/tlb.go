@@ -100,7 +100,9 @@ func (t *TLB) flush() {
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // tlbState is a deep copy of the TLB's mutable state; the backing slices
-// are recycled across saves (see cache.State for the pattern).
+// are recycled across saves. Unlike the caches' undo journals (cache.State)
+// the TLB keeps a full copy: at 64 entries its tags and ages are ~1 KB, so
+// copying them costs less than checking for a first write on every access.
 type tlbState struct {
 	tags, ages []uint64
 	stamp      uint64

@@ -28,6 +28,7 @@ gates='
 ./internal/kernel     BenchmarkBlockExecute          25  -
 ./internal/kernel     BenchmarkSteadyPhase           25  -
 ./internal/pmu        BenchmarkAddCountsTwoActive    25  -
+./internal/cpu        BenchmarkMeasureBracket        25  -
 ./internal/telemetry  BenchmarkEmitDisabled          -   25
 ./internal/telemetry  BenchmarkEmitEnabled           -   50
 .                     BenchmarkTable2MatmulOverhead  50  -

@@ -12,7 +12,7 @@
 #   4. go generate the generated PMU event tables must match the
 #                  checked-in spec (events.spec is the source of truth)
 #   5. bench smoke every benchmark scripts/bench_ab.sh gates (kernel, PMU,
-#                  telemetry and the root table2 ratchet) compiles and
+#                  CPU, telemetry and the root table2 ratchet) compiles and
 #                  survives one iteration (the same-host A/B gate itself
 #                  runs in CI's bench-ab job)
 #   6. chaos smoke one seeded fault plan runs end to end and satisfies the
@@ -70,7 +70,7 @@ echo "==> generated event tables up to date"
 (cd internal/pmu && go run ./gen -spec events.spec -out events_gen.go -check)
 
 echo "==> bench smoke (1 iteration)"
-go test ./internal/kernel ./internal/pmu ./internal/telemetry -run 'NONE' -bench . -benchtime 1x >/dev/null
+go test ./internal/kernel ./internal/pmu ./internal/cpu ./internal/telemetry -run 'NONE' -bench . -benchtime 1x >/dev/null
 go test . -run 'NONE' -bench '^BenchmarkTable2MatmulOverhead$' -benchtime 1x >/dev/null
 
 echo "==> chaos smoke (1 fault plan)"
