@@ -52,7 +52,6 @@ import (
 	"kleb/internal/prof"
 	"kleb/internal/report"
 	"kleb/internal/session"
-	"kleb/internal/workload"
 )
 
 // stopProfiles flushes any active -cpuprofile / -memprofile capture; fail
@@ -78,7 +77,6 @@ func main() {
 		mtPath  = flag.String("metrics", "", "write batch-level telemetry as Prometheus text to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
 		memProf = flag.String("memprofile", "", "write a host heap profile (pprof) to this file on exit")
-		legacy  = flag.Bool("legacy-exec", false, "run workloads through the per-step legacy interpreter instead of compiled block streams (differential testing; artifacts are byte-identical)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fig9|timers|sweep|buffers|drains|colocate|suite|placement|contention|multiplex|taillat|events|chaos|all|md-only>\n")
@@ -89,7 +87,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	workload.SetLegacyExec(*legacy)
 	stop, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fail("experiments: %v\n", err)

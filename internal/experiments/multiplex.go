@@ -206,9 +206,23 @@ func RunMultiplex(cfg MultiplexConfig) (*MultiplexResult, error) {
 	return res, nil
 }
 
+// blockCounted reports whether the CPU model copies ev straight from the
+// instruction block (cpu.measure): such counts are a function of the
+// program alone, so an unscaled perf stat total must equal K-LEB's exactly.
+// Cache and predictor events also depend on what the tool itself disturbs.
+func blockCounted(ev isa.Event) bool {
+	switch ev {
+	case isa.EvInstructions, isa.EvLoads, isa.EvStores, isa.EvBranches,
+		isa.EvMulOps, isa.EvFPOps, isa.EvCacheFlushes:
+		return true
+	}
+	return false
+}
+
 // Check asserts the sweep's physics: mixes within the counter budget count
-// exactly (single round, no scaling), and every oversubscribed mix both
-// rotates and shows real extrapolation error against the exact counts.
+// exactly (single round, no scaling, and every block-counted event equal to
+// its exact count), and every oversubscribed mix both rotates and shows
+// real extrapolation error against the exact counts.
 func (r *MultiplexResult) Check() error {
 	var bad []string
 	for _, row := range r.Rows {
@@ -223,6 +237,9 @@ func (r *MultiplexResult) Check() error {
 			for _, c := range row.Cells {
 				if c.Scale != 1.0 {
 					bad = append(bad, fmt.Sprintf("mix of %d: %v scaled x%.3f without multiplexing", row.N, c.Event, c.Scale))
+				}
+				if blockCounted(c.Event) && c.Reported != c.Exact {
+					bad = append(bad, fmt.Sprintf("mix of %d: %v reported %d, exact count %d", row.N, c.Event, c.Reported, c.Exact))
 				}
 			}
 			continue

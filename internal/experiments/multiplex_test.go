@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"kleb/internal/isa"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite experiment golden files")
@@ -81,5 +84,25 @@ func TestMultiplexCheck(t *testing.T) {
 	}
 	if !sawOver {
 		t.Fatal("default sweep has no oversubscribed mix")
+	}
+}
+
+// TestMultiplexCheckRejectsInexactUnderBudget feeds Check an under-budget
+// row whose unscaled load count disagrees with the exact count: one round
+// and scale 1.0 are not enough, block-counted events must match exactly.
+// An LLC-miss difference alone is allowed (the tool perturbs the cache).
+func TestMultiplexCheckRejectsInexactUnderBudget(t *testing.T) {
+	row := func(loads uint64) *MultiplexResult {
+		return &MultiplexResult{Rows: []MultiplexRow{{N: 2, Rounds: 1, Cells: []MultiplexCell{
+			{Event: isa.EvLoads, Reported: loads, Scale: 1, Exact: 420_000_000},
+			{Event: isa.EvLLCMisses, Reported: 60_726_426, Scale: 1, Exact: 61_651_999},
+		}}}}
+	}
+	if err := row(420_000_000).Check(); err != nil {
+		t.Fatalf("exact loads with perturbed LLC misses rejected: %v", err)
+	}
+	err := row(419_999_999).Check()
+	if err == nil || !strings.Contains(err.Error(), "MEM_INST_RETIRED.LOADS reported 419999999") {
+		t.Fatalf("inexact under-budget loads passed Check (err %v)", err)
 	}
 }

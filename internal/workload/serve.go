@@ -188,9 +188,6 @@ func (sp *ServeProgram) Instrument(prelude []kernel.Op, every uint64, hook func(
 	sp.inner.Instrument(prelude, every, hook)
 }
 
-// PhaseName returns the executing phase's name.
-func (sp *ServeProgram) PhaseName() string { return sp.inner.PhaseName() }
-
 // Stats exposes the run's serving statistics; read it after the run.
 func (sp *ServeProgram) Stats() *ServeStats { return &sp.sim.stats }
 

@@ -178,7 +178,7 @@ func TestServeProgramSeam(t *testing.T) {
 	}
 	sp := sv.Program(1)
 	sp.Instrument(nil, 12345, nil)
-	if sp.inner.HookEvery != 12345 {
+	if sp.inner.hookEvery != 12345 {
 		t.Error("Instrument did not reach the inner script walk")
 	}
 	if got := sp.Script().TotalInstr(); got != sv.TotalInstr {

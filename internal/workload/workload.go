@@ -36,7 +36,7 @@ type Phase struct {
 }
 
 // defaultBlockInstr is the emission granularity of a phase that declares
-// none; blockAt and the stream compiler must agree on it.
+// none; blockAt and Compile must agree on it.
 const defaultBlockInstr = 100_000
 
 // blockAt returns the phase's block for the given remaining budget.
@@ -89,45 +89,19 @@ func (s Script) TotalFPOps() uint64 {
 	return t
 }
 
-// legacyExec selects the per-step interpreter instead of compiled streams
-// for every Program built after the switch (the -legacy-exec flag). Both
-// modes produce byte-identical artifacts — the legacy interpreter exists as
-// the differential-testing oracle for the compiled path (DESIGN.md §13).
-var legacyExec bool
-
-// SetLegacyExec switches subsequently built ScriptPrograms between the
-// compiled-stream executor (false, the default) and the legacy per-step
-// interpreter (true). Programs already built keep their mode. Not safe to
-// call concurrently with Program; flip it between runs.
-func SetLegacyExec(v bool) { legacyExec = v }
-
-// LegacyExec reports the current executor mode.
-func LegacyExec() bool { return legacyExec }
-
-// Program returns a fresh kernel program executing the script once. Unless
-// SetLegacyExec(true) is in effect the script is lowered to its compiled
-// stream, which lets the kernel batch steady-phase blocks (it implements
-// kernel.BlockStream).
+// Program returns a fresh kernel program executing the script once. The
+// script is lowered to its compiled stream, which lets the kernel batch
+// steady-phase blocks (it implements kernel.BlockStream).
 func (s Script) Program() *ScriptProgram {
-	sp := &ScriptProgram{script: s}
-	if !legacyExec {
-		sp.stream, sp.phaseOf = s.compile()
-	}
-	return sp
+	return &ScriptProgram{script: s, stream: s.Compile()}
 }
 
 // Compile lowers the script to its flat run-length block stream: per phase,
 // one Run of identical full blocks plus one single-copy Run for the
-// remainder. The emission order is exactly the per-step interpreter's.
+// remainder — each phase's blockAt sequence, run-length encoded.
 func (s Script) Compile() isa.CompiledStream {
-	cs, _ := s.compile()
-	return cs
-}
-
-func (s Script) compile() (isa.CompiledStream, []int) {
 	var runs []isa.Run
-	var phaseOf []int
-	for pi, ph := range s.Phases {
+	for _, ph := range s.Phases {
 		if ph.TotalInstr == 0 {
 			continue
 		}
@@ -137,49 +111,37 @@ func (s Script) compile() (isa.CompiledStream, []int) {
 		}
 		if full := ph.TotalInstr / n; full > 0 {
 			runs = append(runs, isa.Run{Block: ph.blockAt(ph.TotalInstr), Count: full})
-			phaseOf = append(phaseOf, pi)
 		}
 		if rem := ph.TotalInstr % n; rem > 0 {
 			runs = append(runs, isa.Run{Block: ph.blockAt(rem), Count: 1})
-			phaseOf = append(phaseOf, pi)
 		}
 	}
-	return isa.CompiledStream{Runs: runs}, phaseOf
+	return isa.CompiledStream{Runs: runs}
 }
 
-// ScriptProgram drives a Script as a kernel process. It also implements the
-// instrumentation seam PAPI/LiMiT need: an optional hook invoked every
-// HookEvery retired instructions (a "strategic point" in the paper's
-// terminology) may inject operations such as counter-read syscalls.
+// ScriptProgram drives a Script as a kernel process by walking its compiled
+// stream. It also implements the instrumentation seam PAPI/LiMiT need
+// (Instrument): an optional hook invoked every so many retired
+// instructions (a "strategic point" in the paper's terminology) may inject
+// operations such as counter-read syscalls.
 type ScriptProgram struct {
 	script Script
 
-	// Compiled mode (the default): the script lowered to a run-length block
-	// stream, with phaseOf mapping each run back to its phase for tracing.
-	// An empty stream selects the legacy per-step interpreter.
+	// The script lowered to a run-length block stream, positioned by
+	// (run, copies emitted) so PeekRun can answer "how many identical
+	// blocks follow?" in O(1).
 	stream  isa.CompiledStream
-	phaseOf []int
 	runIx   int
-	runLeft uint64 // unemitted copies of the current run
+	emitted uint64
 
-	// Legacy-interpreter walk state.
-	phase     int
-	remaining uint64
-
-	started bool
-
-	// Prelude operations run once before the first phase — where
-	// instrumenting tools put their library initialization (e.g.
-	// PAPI_library_init).
-	Prelude []kernel.Op
-	// HookEvery inserts Hook's operations every so many instructions.
-	HookEvery uint64
-	// Hook returns the operations to run at a strategic point. It may
+	// hookEvery inserts hook's operations every so many instructions.
+	hookEvery uint64
+	// hook returns the operations to run at a strategic point. It may
 	// return nil.
-	Hook func(k *kernel.Kernel, p *kernel.Process) []kernel.Op
+	hook func(k *kernel.Kernel, p *kernel.Process) []kernel.Op
 
 	sinceHook uint64
-	queue     []kernel.Op
+	queue     []kernel.Op // the prelude, then pending hook operations
 	done      bool
 }
 
@@ -189,85 +151,30 @@ var _ kernel.BlockStream = (*ScriptProgram)(nil)
 // Script returns the underlying script.
 func (sp *ScriptProgram) Script() Script { return sp.script }
 
-// compiled reports whether the program runs its compiled stream.
-func (sp *ScriptProgram) compiled() bool { return len(sp.stream.Runs) > 0 }
-
-// PhaseName returns the name of the phase currently executing.
-func (sp *ScriptProgram) PhaseName() string {
-	ix := sp.phase
-	if sp.compiled() {
-		if sp.runIx >= len(sp.phaseOf) {
-			return ""
-		}
-		ix = sp.phaseOf[sp.runIx]
-	}
-	if ix < len(sp.script.Phases) {
-		return sp.script.Phases[ix].Name
-	}
-	return ""
-}
-
 // Next implements kernel.Program.
 func (sp *ScriptProgram) Next(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 	if len(sp.queue) > 0 {
-		op := sp.queue[0]
-		sp.queue = sp.queue[1:]
-		return op
+		return sp.nextQueued()
 	}
 	if sp.done {
 		return kernel.OpExit{}
 	}
-	if !sp.started {
-		sp.started = true
-		if sp.compiled() {
-			sp.runLeft = sp.stream.Runs[0].Count
-		} else if len(sp.script.Phases) > 0 {
-			sp.remaining = sp.script.Phases[0].TotalInstr
-		}
-		if len(sp.Prelude) > 0 {
-			sp.queue = append(sp.queue, sp.Prelude...)
-			return sp.nextQueued()
-		}
-	}
-	if sp.compiled() {
-		return sp.nextCompiled(k, p)
-	}
-	for sp.phase < len(sp.script.Phases) && sp.remaining == 0 {
-		sp.phase++
-		if sp.phase < len(sp.script.Phases) {
-			sp.remaining = sp.script.Phases[sp.phase].TotalInstr
-		}
-	}
-	if sp.phase >= len(sp.script.Phases) {
-		return sp.finish(k, p)
-	}
-	ph := sp.script.Phases[sp.phase]
-	blk := ph.blockAt(sp.remaining)
-	sp.remaining -= blk.Instr
-	return sp.emit(k, p, blk)
-}
-
-// nextCompiled is Next's compiled-stream walk: identical emission order to
-// the interpreter above, but positioned by (run, copies-left) so PeekRun
-// can answer "how many identical blocks follow?" in O(1).
-func (sp *ScriptProgram) nextCompiled(k *kernel.Kernel, p *kernel.Process) kernel.Op {
-	for sp.runIx < len(sp.stream.Runs) && sp.runLeft == 0 {
+	runs := sp.stream.Runs
+	for sp.runIx < len(runs) && sp.emitted == runs[sp.runIx].Count {
 		sp.runIx++
-		if sp.runIx < len(sp.stream.Runs) {
-			sp.runLeft = sp.stream.Runs[sp.runIx].Count
-		}
+		sp.emitted = 0
 	}
-	if sp.runIx >= len(sp.stream.Runs) {
+	if sp.runIx >= len(runs) {
 		return sp.finish(k, p)
 	}
-	sp.runLeft--
-	return sp.emit(k, p, sp.stream.Runs[sp.runIx].Block)
+	sp.emitted++
+	return sp.emit(k, p, runs[sp.runIx].Block)
 }
 
 // emit accounts one block emission against the hook cadence and wraps it.
 func (sp *ScriptProgram) emit(k *kernel.Kernel, p *kernel.Process, blk isa.Block) kernel.Op {
 	sp.sinceHook += blk.Instr
-	if sp.HookEvery > 0 && sp.sinceHook >= sp.HookEvery {
+	if sp.hookEvery > 0 && sp.sinceHook >= sp.hookEvery {
 		sp.sinceHook = 0
 		if ops := sp.fireHook(k, p); len(ops) > 0 {
 			sp.queue = append(sp.queue, ops...)
@@ -292,19 +199,18 @@ func (sp *ScriptProgram) finish(k *kernel.Kernel, p *kernel.Process) kernel.Op {
 // boundaries, and the copy whose emission would trip the periodic hook,
 // all of which must flow through a real Next call.
 func (sp *ScriptProgram) PeekRun() (isa.Block, uint64) {
-	if !sp.compiled() || !sp.started || sp.done || len(sp.queue) > 0 ||
-		sp.runIx >= len(sp.stream.Runs) || sp.runLeft == 0 {
+	if sp.done || len(sp.queue) > 0 || sp.runIx >= len(sp.stream.Runs) {
 		return isa.Block{}, 0
 	}
-	blk := sp.stream.Runs[sp.runIx].Block
-	avail := sp.runLeft
-	if sp.HookEvery > 0 {
-		if sp.sinceHook >= sp.HookEvery {
+	run := sp.stream.Runs[sp.runIx]
+	blk, avail := run.Block, run.Count-sp.emitted
+	if sp.hookEvery > 0 {
+		if sp.sinceHook >= sp.hookEvery {
 			return blk, 0
 		}
 		// Copies emittable before one trips the hook: largest c with
-		// sinceHook + c·Instr < HookEvery.
-		if hookCap := (sp.HookEvery - sp.sinceHook - 1) / blk.Instr; hookCap < avail {
+		// sinceHook + c·Instr < hookEvery.
+		if hookCap := (sp.hookEvery - sp.sinceHook - 1) / blk.Instr; hookCap < avail {
 			avail = hookCap
 		}
 	}
@@ -318,15 +224,15 @@ func (sp *ScriptProgram) ConsumeRun(n uint64) {
 	if n == 0 {
 		return
 	}
-	sp.runLeft -= n
+	sp.emitted += n
 	sp.sinceHook += n * sp.stream.Runs[sp.runIx].Block.Instr
 }
 
 func (sp *ScriptProgram) fireHook(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
-	if sp.Hook == nil {
+	if sp.hook == nil {
 		return nil
 	}
-	return sp.Hook(k, p)
+	return sp.hook(k, p)
 }
 
 func (sp *ScriptProgram) nextQueued() kernel.Op {
@@ -350,11 +256,13 @@ type Instrumentable interface {
 	Instrument(prelude []kernel.Op, every uint64, hook func(k *kernel.Kernel, p *kernel.Process) []kernel.Op)
 }
 
-// Instrument implements Instrumentable.
+// Instrument implements Instrumentable. It must precede the first Next:
+// the prelude runs before the first block, where instrumenting tools put
+// their library initialization (e.g. PAPI_library_init).
 func (sp *ScriptProgram) Instrument(prelude []kernel.Op, every uint64, hook func(k *kernel.Kernel, p *kernel.Process) []kernel.Op) {
-	sp.Prelude = prelude
-	sp.HookEvery = every
-	sp.Hook = hook
+	sp.queue = append(sp.queue[:0], prelude...)
+	sp.hookEvery = every
+	sp.hook = hook
 }
 
 var _ Instrumentable = (*ScriptProgram)(nil)

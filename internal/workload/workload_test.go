@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"kleb/internal/cache"
@@ -74,17 +75,99 @@ func TestScriptProgramExecutesAllInstructions(t *testing.T) {
 	}
 }
 
-func TestScriptProgramPhaseNames(t *testing.T) {
+func TestScriptProgramScriptAccessor(t *testing.T) {
 	s := Script{Phases: []Phase{
 		{Name: "first", TotalInstr: 100, BlockInstr: 100},
 		{Name: "second", TotalInstr: 100, BlockInstr: 100},
 	}}
-	sp := s.Program()
-	if sp.PhaseName() != "first" {
-		t.Errorf("initial phase %q", sp.PhaseName())
-	}
-	if sp.Script().TotalInstr() != 200 {
+	if s.Program().Script().TotalInstr() != 200 {
 		t.Error("Script accessor broken")
+	}
+}
+
+// phaseWalk is the reference emission order: each phase in turn, emitting
+// blockAt(remaining) until its budget is spent.
+func phaseWalk(s Script) []isa.Block {
+	var out []isa.Block
+	for _, ph := range s.Phases {
+		for rem := ph.TotalInstr; rem > 0; {
+			blk := ph.blockAt(rem)
+			out = append(out, blk)
+			rem -= blk.Instr
+		}
+	}
+	return out
+}
+
+// TestCompileMatchesPhaseWalk expands each compiled stream and compares it
+// block for block with the per-phase reference walk, then drives the
+// program itself and checks it emits that sequence and exits through
+// finish.
+func TestCompileMatchesPhaseWalk(t *testing.T) {
+	mem := isa.MemPattern{Base: 0x1000, Footprint: 4096, Stride: 8}
+	cases := []struct {
+		name string
+		s    Script
+	}{
+		{"zero-budget phase", Script{Phases: []Phase{
+			{Name: "a", TotalInstr: 300, BlockInstr: 100, LoadsPerK: 100, Mem: mem},
+			{Name: "empty", TotalInstr: 0, BlockInstr: 100},
+			{Name: "b", TotalInstr: 200, BlockInstr: 100, StoresPerK: 50, Mem: mem},
+		}}},
+		{"remainder block", Script{Phases: []Phase{
+			{Name: "a", TotalInstr: 1050, BlockInstr: 300, LoadsPerK: 100, BranchesPerK: 170, Mem: mem},
+		}}},
+		{"default block size", Script{Phases: []Phase{
+			{Name: "a", TotalInstr: 3*defaultBlockInstr + 7, MulsPerK: 20, FPsPerK: 400, Mem: mem},
+		}}},
+		{"block larger than budget", Script{Phases: []Phase{
+			{Name: "a", TotalInstr: 500, BlockInstr: 10_000, FlushesPerK: 5, Mem: mem},
+			{Name: "b", TotalInstr: 250, BlockInstr: 1000, Priv: isa.Kernel},
+		}}},
+		{"empty script", Script{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := phaseWalk(tc.s)
+			var got []isa.Block
+			for _, run := range tc.s.Compile().Runs {
+				for i := uint64(0); i < run.Count; i++ {
+					got = append(got, run.Block)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("compiled stream expands to %d blocks %v,\nreference walk emits %d blocks %v", len(got), got, len(want), want)
+			}
+
+			// With no periodic cadence the hook fires only from finish, so
+			// one call proves the program exited through it.
+			sp := tc.s.Program()
+			finishes := 0
+			sp.Instrument(nil, 0, func(*kernel.Kernel, *kernel.Process) []kernel.Op {
+				finishes++
+				return nil
+			})
+			k := testKernel(7)
+			var emitted []isa.Block
+			exits := 0
+			for i := 0; i <= len(want); i++ {
+				switch op := sp.Next(k, nil).(type) {
+				case kernel.OpExec:
+					emitted = append(emitted, op.Block)
+				case kernel.OpExit:
+					exits++
+				default:
+					t.Fatalf("op %d: unexpected %T", i, op)
+				}
+			}
+			if exits != 1 || finishes != 1 || !reflect.DeepEqual(emitted, want) {
+				t.Errorf("program emitted %v then %d exits (%d finish hooks), want %v then one exit through finish",
+					emitted, exits, finishes, want)
+			}
+			if _, n := sp.PeekRun(); n != 0 {
+				t.Errorf("PeekRun after finish reports %d copies", n)
+			}
+		})
 	}
 }
 
@@ -95,11 +178,10 @@ func TestHooksFireAtStrategicPoints(t *testing.T) {
 	}}}
 	sp := s.Program()
 	hooks := 0
-	sp.HookEvery = 100_000
-	sp.Hook = func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
+	sp.Instrument(nil, 100_000, func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
 		hooks++
 		return nil
-	}
+	})
 	k := testKernel(2)
 	k.Spawn("w", sp)
 	if err := k.Run(0); err != nil {
@@ -117,14 +199,13 @@ func TestHookOpsAreExecuted(t *testing.T) {
 		Mem: isa.MemPattern{Base: 0x1000, Footprint: 4096, Stride: 8},
 	}}}
 	sp := s.Program()
-	sp.HookEvery = 200_000
 	executed := 0
-	sp.Hook = func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
+	sp.Instrument(nil, 200_000, func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
 		return []kernel.Op{kernel.OpSyscall{Name: "mark", Fn: func(*kernel.Kernel, *kernel.Process) any {
 			executed++
 			return nil
 		}}}
-	}
+	})
 	k := testKernel(3)
 	k.Spawn("w", sp)
 	if err := k.Run(0); err != nil {
@@ -142,15 +223,14 @@ func TestPreludeRunsFirst(t *testing.T) {
 	}}}
 	sp := s.Program()
 	var order []string
-	sp.Prelude = []kernel.Op{kernel.OpSyscall{Name: "init", Fn: func(*kernel.Kernel, *kernel.Process) any {
+	prelude := []kernel.Op{kernel.OpSyscall{Name: "init", Fn: func(*kernel.Kernel, *kernel.Process) any {
 		order = append(order, "prelude")
 		return nil
 	}}}
-	sp.HookEvery = 100_000
-	sp.Hook = func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
+	sp.Instrument(prelude, 100_000, func(k *kernel.Kernel, p *kernel.Process) []kernel.Op {
 		order = append(order, "hook")
 		return nil
-	}
+	})
 	k := testKernel(4)
 	k.Spawn("w", sp)
 	if err := k.Run(0); err != nil {
