@@ -159,6 +159,9 @@ func NewShared(cfg Config, p *pmu.PMU, rng *ktime.Rand, sharedLLC *cache.Cache) 
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
 
+// Freq returns the core clock frequency, without copying the Config.
+func (c *Core) Freq() ktime.Freq { return c.cfg.Freq }
+
 // Caches returns the core's cache hierarchy.
 func (c *Core) Caches() *cache.Hierarchy { return c.caches }
 

@@ -151,8 +151,10 @@ func (k *Kernel) Now() ktime.Time { return k.clock.Now() }
 // Core returns the CPU core this kernel runs on.
 func (k *Kernel) Core() *cpu.Core { return k.core }
 
-// Costs returns the kernel's cost model.
-func (k *Kernel) Costs() CostModel { return k.costs }
+// Costs returns the kernel's cost model. It is the kernel's own copy,
+// returned by pointer so per-sample callers read a field without copying
+// the whole model: read it, never modify it.
+func (k *Kernel) Costs() *CostModel { return &k.costs }
 
 // Rand returns the kernel's noise source.
 func (k *Kernel) Rand() *ktime.Rand { return k.rng }
@@ -282,7 +284,7 @@ func (k *Kernel) ChargeKernel(d ktime.Duration) {
 	if k.current != nil {
 		k.current.kernTime += d
 	}
-	k.core.PMU().AddCounts(kernelCounts(k.core.Config().Freq, d), isa.Kernel)
+	k.core.PMU().AddCounts(kernelCounts(k.core.Freq(), d), isa.Kernel)
 }
 
 // kernelCounts synthesizes the event activity of d worth of kernel-mode
@@ -586,7 +588,7 @@ func (k *Kernel) startSyscall(p *Process, name string, fn SyscallFn) {
 	}
 	k.tel.SyscallEnter(k.clock.Now(), name, int32(p.pid))
 	entry := cpu.Costed{
-		Counts: kernelCounts(k.core.Config().Freq, k.costs.SyscallEntry),
+		Counts: kernelCounts(k.core.Freq(), k.costs.SyscallEntry),
 		Time:   k.rng.Jitter(k.costs.SyscallEntry, k.costs.NoiseRel),
 		Priv:   isa.Kernel,
 	}
@@ -596,7 +598,7 @@ func (k *Kernel) startSyscall(p *Process, name string, fn SyscallFn) {
 		onDone: func(k *Kernel, p *Process) {
 			p.SyscallResult = fn(k, p)
 			exit := cpu.Costed{
-				Counts: kernelCounts(k.core.Config().Freq, k.costs.SyscallExit),
+				Counts: kernelCounts(k.core.Freq(), k.costs.SyscallExit),
 				Time:   k.rng.Jitter(k.costs.SyscallExit, k.costs.NoiseRel),
 				Priv:   isa.Kernel,
 			}

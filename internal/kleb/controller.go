@@ -1,7 +1,6 @@
 package kleb
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -10,6 +9,7 @@ import (
 	"kleb/internal/kernel"
 	"kleb/internal/ktime"
 	"kleb/internal/monitor"
+	"kleb/internal/trace"
 	"kleb/internal/workload"
 )
 
@@ -99,6 +99,9 @@ type Controller struct {
 	state       int
 	pending     []monitor.Sample // drained but not yet logged
 	wroteHeader bool
+	// logBuf is writeOp's row buffer, reused across writes: FS.Append
+	// copies what it is given and an io.Writer must not retain it.
+	logBuf      []byte
 	done        bool
 	finishing   bool // module reported Done; draining the tail
 	degraded    bool
@@ -340,32 +343,20 @@ func (c *Controller) logOp(k *kernel.Kernel, n int) kernel.Op {
 func (c *Controller) writeOp(n int) kernel.Op {
 	return kernel.OpSyscall{Name: "write", Fn: func(k *kernel.Kernel, p *kernel.Process) any {
 		k.ChargeKernel(350 * ktime.Microsecond) // journal + page-cache flush
-		var buf bytes.Buffer
+		buf := c.logBuf[:0]
 		if !c.wroteHeader {
 			c.wroteHeader = true
-			buf.WriteString("time_us")
-			for _, ev := range c.Cfg.Events {
-				buf.WriteByte(',')
-				buf.WriteString(ev.String())
-			}
-			buf.WriteByte('\n')
+			buf = trace.AppendCSVHeader(buf, c.Cfg.Events)
 		}
 		for _, s := range c.pending {
-			fmt.Fprintf(&buf, "%.1f", float64(s.Time)/1000)
-			for i := range c.Cfg.Events {
-				var v uint64
-				if i < len(s.Deltas) {
-					v = s.Deltas[i]
-				}
-				fmt.Fprintf(&buf, ",%d", v)
-			}
-			buf.WriteByte('\n')
+			buf = trace.AppendCSVRow(buf, len(c.Cfg.Events), s)
 		}
-		if err := k.FS().Append(c.logPath(), buf.Bytes()); err != nil {
+		c.logBuf = buf
+		if err := k.FS().Append(c.logPath(), buf); err != nil {
 			c.noteWriteFailure(k, err)
 		}
 		if c.LogWriter != nil {
-			if _, err := c.LogWriter.Write(buf.Bytes()); err != nil {
+			if _, err := c.LogWriter.Write(buf); err != nil {
 				c.noteWriteFailure(k, err)
 			}
 		}

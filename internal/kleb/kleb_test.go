@@ -467,6 +467,54 @@ func TestControllerLogOnFilesystem(t *testing.T) {
 	}
 }
 
+// TestControllerLogRoundTrip checks the 100µs log row by row: the file
+// and the LogWriter copy are exactly trace.WriteCSV of the collected
+// series, and parsing the log back gives every delta exactly and every
+// timestamp to the format's 0.1µs grain. A 1ms drain interval makes the
+// log many writes from the controller's reused row buffer.
+func TestControllerLogRoundTrip(t *testing.T) {
+	script := targetScript(100_000_000)
+	var copied bytes.Buffer
+	res, _ := runWithKLEB(t, 31, script, stdConfig(100*ktime.Microsecond), func(tl *Tool) {
+		tl.LogWriter = &copied
+		tl.DrainInterval = ktime.Millisecond
+	})
+	raw, ok := res.Machine.Kernel().FS().ReadFile(DefaultLogPath)
+	if !ok {
+		t.Fatalf("controller log %s missing", DefaultLogPath)
+	}
+	var want bytes.Buffer
+	if err := trace.WriteCSV(&want, res.Result.Events, res.Result.Samples); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Error("controller log differs from trace.WriteCSV of the collected samples")
+	}
+	if !bytes.Equal(copied.Bytes(), raw) {
+		t.Error("LogWriter received different bytes from the log file")
+	}
+	_, samples, err := trace.ReadCSV(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) < 100 || len(samples) != len(res.Result.Samples) {
+		t.Fatalf("log rows %d, collected samples %d", len(samples), len(res.Result.Samples))
+	}
+	for i, got := range samples {
+		in := res.Result.Samples[i]
+		for j := range got.Deltas {
+			if got.Deltas[j] != in.Deltas[j] {
+				t.Fatalf("row %d column %d: %d, collected %d", i, j, got.Deltas[j], in.Deltas[j])
+			}
+		}
+		// "%.1f" rounds to the nearest 0.1µs (±50 ns); ReadCSV's
+		// truncation of the parsed float can take one more ns.
+		if diff := int64(got.Time) - int64(in.Time); diff < -51 || diff > 50 {
+			t.Fatalf("row %d time %d ns, collected %d ns", i, got.Time, in.Time)
+		}
+	}
+}
+
 // stoppingController configures, starts, waits a fixed time, then issues
 // CmdStop while the target is still running — the paper's "user issues the
 // stop monitoring command" path (Fig 2 step 4) — and drains what was

@@ -148,11 +148,19 @@ func (r *Recorder) record(e Event) {
 
 // Events returns the buffered events oldest-first.
 func (r *Recorder) Events() []Event {
-	out := make([]Event, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
+	older, newer := r.runs()
+	out := make([]Event, 0, r.count)
+	return append(append(out, older...), newer...)
+}
+
+// runs returns the buffered events oldest-first as the ring's two
+// contiguous runs, without copying them.
+func (r *Recorder) runs() (older, newer []Event) {
+	end := r.head + r.count
+	if end <= len(r.buf) {
+		return r.buf[r.head:end], nil
 	}
-	return out
+	return r.buf[r.head:], r.buf[:end-len(r.buf)]
 }
 
 // Len returns the number of buffered events.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,9 +228,10 @@ func TestChromeTraceIsValidAndComplete(t *testing.T) {
 }
 
 func TestTimestampRendering(t *testing.T) {
-	cases := map[uint64]string{0: "0.000", 999: "0.999", 1000: "1.000", 1234567: "1234.567"}
+	cases := map[uint64]string{0: "0.000", 5: "0.005", 50: "0.050", 999: "0.999", 1000: "1.000",
+		1001: "1.001", 1234567: "1234.567", math.MaxUint64: "18446744073709551.615"}
 	for ns, want := range cases {
-		if got := ts(ns); got != want {
+		if got := string(appendTS(nil, ns)); got != want {
 			t.Errorf("ts(%d) = %q, want %q", ns, got, want)
 		}
 	}

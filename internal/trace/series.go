@@ -14,31 +14,67 @@ import (
 
 // WriteCSV renders a sample series as CSV: a header of event mnemonics,
 // then one row per sample with the timestamp in microseconds. This is the
-// K-LEB controller's log file format.
+// K-LEB controller's log file format; AppendCSVHeader and AppendCSVRow
+// are its one formatter.
 func WriteCSV(w io.Writer, events []isa.Event, samples []monitor.Sample) error {
-	cols := make([]string, 0, len(events)+1)
-	cols = append(cols, "time_us")
-	for _, ev := range events {
-		cols = append(cols, ev.String())
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
+	buf := AppendCSVHeader(make([]byte, 0, csvChunk), events)
 	for _, s := range samples {
-		row := make([]string, 0, len(events)+1)
-		row = append(row, fmt.Sprintf("%.1f", float64(s.Time)/1000))
-		for i := range events {
-			var v uint64
-			if i < len(s.Deltas) {
-				v = s.Deltas[i]
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
-			row = append(row, fmt.Sprintf("%d", v))
+			buf = buf[:0]
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
+		buf = AppendCSVRow(buf, len(events), s)
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
+}
+
+// csvChunk is the buffered size at which WriteCSV hands rows to its writer.
+const csvChunk = 32 << 10
+
+// AppendCSVHeader appends the log's header line to dst: "time_us" and then
+// each event's mnemonic, comma-separated.
+func AppendCSVHeader(dst []byte, events []isa.Event) []byte {
+	dst = append(dst, "time_us"...)
+	for _, ev := range events {
+		dst = append(dst, ',')
+		dst = append(dst, ev.String()...)
+	}
+	return append(dst, '\n')
+}
+
+// AppendCSVRow appends one sample's log row to dst: the timestamp as
+// fmt's "%.1f" of float64(s.Time)/1000 (microseconds), then nEvents
+// decimal deltas, zero-filled where s.Deltas is short. Rows appended into a
+// buffer with room to spare allocate nothing.
+func AppendCSVRow(dst []byte, nEvents int, s monitor.Sample) []byte {
+	dst = appendMicros(dst, uint64(s.Time))
+	for i := 0; i < nEvents; i++ {
+		var v uint64
+		if i < len(s.Deltas) {
+			v = s.Deltas[i]
+		}
+		dst = append(dst, ',')
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, '\n')
+}
+
+// appendMicros appends ns as fmt's "%.1f" of float64(ns)/1000 without the
+// float: the integer-rounded tenths of a microsecond. Below 2^50 the
+// quotient's rounding error is under ns/1000·2^-53 < 0.000125 µs, while
+// ns/1000 sits at least 0.001 µs from a rounding boundary unless
+// ns%100 == 50, so the two roundings agree. Ties and larger values take
+// strconv.AppendFloat, which is what fmt calls.
+func appendMicros(dst []byte, ns uint64) []byte {
+	if ns%100 == 50 || ns >= 1<<50 {
+		return strconv.AppendFloat(dst, float64(ns)/1000, 'f', 1, 64)
+	}
+	tenths := (ns + 50) / 100
+	dst = strconv.AppendUint(dst, tenths/10, 10)
+	return append(dst, '.', byte('0'+tenths%10))
 }
 
 // ReadCSV parses a sample log written by WriteCSV (or by the K-LEB

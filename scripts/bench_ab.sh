@@ -29,6 +29,8 @@ gates='
 ./internal/kernel     BenchmarkSteadyPhase           25  -
 ./internal/pmu        BenchmarkAddCountsTwoActive    25  -
 ./internal/cpu        BenchmarkMeasureBracket        25  -
+./internal/trace      BenchmarkAppendCSVRows         25  -
+./internal/kleb       BenchmarkWriteChromeTrace      25  -
 ./internal/telemetry  BenchmarkEmitDisabled          -   25
 ./internal/telemetry  BenchmarkEmitEnabled           -   50
 .                     BenchmarkTable2MatmulOverhead  50  -

@@ -12,9 +12,9 @@
 #   4. go generate the generated PMU event tables must match the
 #                  checked-in spec (events.spec is the source of truth)
 #   5. bench smoke every benchmark scripts/bench_ab.sh gates (kernel, PMU,
-#                  CPU, telemetry and the root table2 ratchet) compiles and
-#                  survives one iteration (the same-host A/B gate itself
-#                  runs in CI's bench-ab job)
+#                  CPU, telemetry, trace, K-LEB and the root table2
+#                  ratchet) compiles and survives one iteration (the
+#                  same-host A/B gate itself runs in CI's bench-ab job)
 #   6. chaos smoke one seeded fault plan runs end to end and satisfies the
 #                  period-conservation invariant (the full 32-plan sweep
 #                  runs in CI's chaos job)
@@ -70,7 +70,7 @@ echo "==> generated event tables up to date"
 (cd internal/pmu && go run ./gen -spec events.spec -out events_gen.go -check)
 
 echo "==> bench smoke (1 iteration)"
-go test ./internal/kernel ./internal/pmu ./internal/cpu ./internal/telemetry -run 'NONE' -bench . -benchtime 1x >/dev/null
+go test ./internal/kernel ./internal/pmu ./internal/cpu ./internal/telemetry ./internal/trace ./internal/kleb -run 'NONE' -bench . -benchtime 1x >/dev/null
 go test . -run 'NONE' -bench '^BenchmarkTable2MatmulOverhead$' -benchtime 1x >/dev/null
 
 echo "==> chaos smoke (1 fault plan)"
